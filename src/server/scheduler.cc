@@ -48,12 +48,24 @@ SessionScheduler::Ticket SessionScheduler::Admit(QueryClass cls,
   {
     std::unique_lock<std::mutex> lock(mu_);
     ClassState& state = StateFor(cls);
-    ++state.queued;
+    // Take a place in line. A caller that finds a free slot but others
+    // of its class already queued waits behind them, so a session that
+    // just released cannot take its slot back ahead of its peers.
+    const uint64_t place = state.arrived++;
     PublishGauges(cls);
-    cv_.wait(lock, [&] { return state.running < state.limit; });
-    --state.queued;
+    cv_.wait(lock, [&] {
+      return place == state.admitted && state.running < state.limit;
+    });
+    ++state.admitted;
     ++state.running;
     PublishGauges(cls);
+    // Releases may have freed several slots while only the head of the
+    // line could take one; pass the wake on to the next in line. An
+    // uncontended admission has no one queued and wakes no one.
+    const bool wake_next =
+        state.queued() > 0 && state.running < state.limit;
+    lock.unlock();
+    if (wake_next) cv_.notify_all();
   }
   const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - start);
@@ -84,7 +96,7 @@ void SessionScheduler::PublishGauges(QueryClass cls) const {
   const ClassState& state = StateFor(cls);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.GetGauge(MetricName(cls, "queue_depth"))
-      .Set(static_cast<int64_t>(state.queued));
+      .Set(static_cast<int64_t>(state.queued()));
   registry.GetGauge(MetricName(cls, "running"))
       .Set(static_cast<int64_t>(state.running));
 }
@@ -96,7 +108,7 @@ size_t SessionScheduler::running(QueryClass cls) const {
 
 size_t SessionScheduler::queued(QueryClass cls) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return StateFor(cls).queued;
+  return StateFor(cls).queued();
 }
 
 }  // namespace semopt

@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 
 namespace semopt {
@@ -23,11 +24,14 @@ const char* QueryClassName(QueryClass c);
 
 /// Two-class admission control for a query server: at most
 /// `max_heavy` heavy and `max_light` light queries run at once;
-/// excess callers block in Admit() and are released FIFO-ish by
-/// condition variable as running queries finish. This is the
-/// aggregate thread-budget guard — each heavy query may spin up its
-/// own evaluation pool of `threads_per_query` workers, so the
-/// worst-case thread count is bounded by
+/// excess callers block in Admit() until running queries finish.
+/// Within a class, callers are admitted in arrival order: a caller
+/// that arrives while others of its class are queued joins the queue
+/// behind them even if a slot is momentarily free. The classes queue
+/// independently, so a light query never waits behind a heavy one.
+/// This is the aggregate thread-budget guard — each heavy query may
+/// spin up its own evaluation pool of `threads_per_query` workers, so
+/// the worst-case thread count is bounded by
 /// `max_heavy * threads_per_query + max_light` regardless of how many
 /// sessions are connected.
 ///
@@ -50,8 +54,8 @@ class SessionScheduler {
   explicit SessionScheduler(Options options);
 
   /// RAII admission slot: holding one means the query is running;
-  /// destruction releases the slot and wakes a waiter of the same
-  /// class. Movable, not copyable.
+  /// destruction releases the slot to the caller of the same class
+  /// that has waited longest. Movable, not copyable.
   class Ticket {
    public:
     Ticket() = default;
@@ -89,7 +93,13 @@ class SessionScheduler {
   struct ClassState {
     size_t limit = 0;
     size_t running = 0;
-    size_t queued = 0;
+    /// Callers that have entered Admit(), and those of them admitted.
+    /// A caller's arrival number is its place in line; the line
+    /// advances one admission at a time.
+    uint64_t arrived = 0;
+    uint64_t admitted = 0;
+
+    size_t queued() const { return static_cast<size_t>(arrived - admitted); }
   };
 
   void ReleaseSlot(QueryClass cls);

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -187,6 +189,90 @@ TEST(SessionSchedulerTest, EnforcesPerClassLimits) {
   waiter.join();
   EXPECT_TRUE(second_admitted.load());
   EXPECT_EQ(scheduler.queued(QueryClass::kHeavy), 0u);
+}
+
+TEST(SessionSchedulerTest, ReleasingCallerCannotJumpTheQueue) {
+  SessionScheduler scheduler(SessionScheduler::Options{/*max_heavy=*/1,
+                                                       /*max_light=*/1});
+  // Whether the releasing thread would win the race is up to the OS
+  // scheduler, so a queue-jumping Admit is caught by repetition; with
+  // arrival-order admission every round comes out the same.
+  for (int round = 0; round < 20; ++round) {
+    SessionScheduler::Ticket held = scheduler.Admit(QueryClass::kHeavy);
+    std::mutex mu;
+    std::vector<std::string> order;
+    std::thread waiter([&] {
+      SessionScheduler::Ticket ticket = scheduler.Admit(QueryClass::kHeavy);
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back("waiter");  // recorded while still holding the slot
+    });
+    while (scheduler.queued(QueryClass::kHeavy) != 1) {
+      std::this_thread::yield();
+    }
+
+    // Release and re-admit at once: the slot is momentarily free, but
+    // the waiter arrived first and must be admitted first.
+    held.Release();
+    {
+      SessionScheduler::Ticket again = scheduler.Admit(QueryClass::kHeavy);
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back("main");
+    }
+    waiter.join();
+    EXPECT_EQ(order, (std::vector<std::string>{"waiter", "main"}))
+        << "round " << round;
+  }
+}
+
+TEST(SessionSchedulerTest, AdmittedCallerWakesTheNextWhileSlotsRemain) {
+  // Hold every slot, queue as many callers, then release all slots back
+  // to back. Releases can land before any waiter runs; a waiter that
+  // wakes while not yet first in line sleeps again, so only the wake an
+  // admitted caller passes on lets the rest in. Four slots rather than
+  // two give that interleaving many chances per round.
+  constexpr size_t kSlots = 4;
+  SessionScheduler scheduler(SessionScheduler::Options{/*max_heavy=*/kSlots,
+                                                       /*max_light=*/1});
+  for (int round = 0; round < 10; ++round) {
+    std::vector<SessionScheduler::Ticket> held;
+    for (size_t i = 0; i < kSlots; ++i) {
+      held.push_back(scheduler.Admit(QueryClass::kHeavy));
+    }
+    std::atomic<size_t> holding{0};
+    std::atomic<bool> done{false};
+    std::vector<std::thread> waiters;
+    for (size_t i = 0; i < kSlots; ++i) {
+      waiters.emplace_back([&] {
+        SessionScheduler::Ticket ticket = scheduler.Admit(QueryClass::kHeavy);
+        holding.fetch_add(1);
+        while (!done.load()) std::this_thread::yield();
+      });
+    }
+    while (scheduler.queued(QueryClass::kHeavy) != kSlots) {
+      std::this_thread::yield();
+    }
+
+    for (SessionScheduler::Ticket& ticket : held) ticket.Release();
+    // The deadline only turns a missed wake into a failure instead of a
+    // hang; a correct scheduler admits every waiter long before it.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (holding.load() != kSlots &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    const bool all_admitted = holding.load() == kSlots;
+    EXPECT_TRUE(all_admitted) << "round " << round << ": only "
+                              << holding.load() << " of " << kSlots
+                              << " queued callers were woken";
+    EXPECT_EQ(scheduler.running(QueryClass::kHeavy), kSlots);
+    EXPECT_EQ(scheduler.queued(QueryClass::kHeavy), 0u);
+
+    done.store(true);
+    for (std::thread& t : waiters) t.join();
+    EXPECT_EQ(scheduler.running(QueryClass::kHeavy), 0u);
+    if (!all_admitted) break;
+  }
 }
 
 TEST(SessionSchedulerTest, ManyThreadsNeverExceedTheLimit) {
