@@ -29,8 +29,12 @@ int Rule::CountBodyUses(const PredicateId& pred) const {
 }
 
 std::string Rule::ToString() const {
+  if (label_.empty()) return UnlabeledText();
+  return label_ + ": " + UnlabeledText();
+}
+
+std::string Rule::UnlabeledText() const {
   std::ostringstream os;
-  if (!label_.empty()) os << label_ << ": ";
   os << head_;
   if (!body_.empty()) os << " :- " << JoinToString(body_, ", ");
   os << ".";

@@ -54,6 +54,10 @@ class Rule {
   /// label prefix "label: " when a label is set.
   std::string ToString() const;
 
+  /// ToString without the label prefix: the rule's text as two
+  /// programs that label it differently both render it.
+  std::string UnlabeledText() const;
+
  private:
   std::string label_;
   Atom head_;

@@ -27,10 +27,12 @@ std::string Term::ToString() const {
   switch (kind_) {
     case TermKind::kVariable:
       return name();
-    case TermKind::kSymConst:
+    case TermKind::kSymConst: {
       // Symbols that would not lex as identifiers print quoted so the
       // output round-trips through the parser.
-      return IsPlainSymbol(name()) ? name() : "'" + name() + "'";
+      const std::string& text = name();
+      return IsPlainSymbol(text) ? text : "'" + text + "'";
+    }
     case TermKind::kIntConst:
       return std::to_string(payload_);
   }

@@ -68,7 +68,7 @@ Result<RuleExecutor::PreparedPlan> PlanCache::Get(
     const RuleExecutor& exec, const RelationSource& source, int delta_literal,
     EvalStats* stats, bool size_aware, bool skip_delta_index,
     bool partitioned, PlannerMode planner, bool coarse_bands) {
-  Key key{exec.rule().ToString(), delta_literal,
+  Key key{exec.rule_text(), delta_literal,
           static_cast<uint8_t>(
               (size_aware ? 1 : 0) | (skip_delta_index ? 2 : 0) |
               (partitioned ? 4 : 0) |

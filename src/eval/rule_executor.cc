@@ -18,6 +18,7 @@ namespace semopt {
 Result<RuleExecutor> RuleExecutor::Create(const Rule& rule) {
   RuleExecutor exec;
   exec.rule_ = rule;
+  exec.rule_text_ = rule.ToString();
 
   // Assign frame slots to variables in first-occurrence order
   // (CollectVariables deduplicates), then sort the table by symbol for
@@ -404,7 +405,7 @@ Result<RuleExecutor::PreparedPlan> RuleExecutor::Prepare(
   std::optional<CostPlanner::Result> cost;
   std::string rule_key;
   if (planner == PlannerMode::kCost && size_aware) {
-    rule_key = rule_.ToString();
+    rule_key = rule_text_;
     std::vector<CostPlanner::LiteralInput> inputs;
     const std::vector<Literal>& body = rule_.body();
     for (size_t i = 0; i < body.size(); ++i) {

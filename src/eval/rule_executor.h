@@ -239,6 +239,11 @@ class RuleExecutor {
 
   const Rule& rule() const { return rule_; }
 
+  /// `rule().ToString()`, rendered once at Create: the plan caches key
+  /// every lookup on it, and rendering resolves every symbol through
+  /// the global interner.
+  const std::string& rule_text() const { return rule_text_; }
+
   /// The size-blind (static) evaluation order as original-body indices,
   /// for tests and plan inspection.
   const std::vector<size_t>& plan_order() const { return static_order_; }
@@ -500,6 +505,7 @@ class RuleExecutor {
                     const BatchSink& sink) const;
 
   Rule rule_;
+  std::string rule_text_;
   std::vector<size_t> static_order_;
   /// Variable→slot table, sorted by symbol id. Slots are dense
   /// 0..slot_count_-1 (asserted in Create): frame blocks index by slot.

@@ -20,7 +20,7 @@ SharedPlanCache::Shard& SharedPlanCache::ShardFor(const RuleExecutor& exec) {
   // The rule's text is the cache key's identity component; hashing it
   // routes all regimes/deltas of one rule to one shard (so a rule's
   // band trajectory shares one LRU) and different rules across shards.
-  const size_t h = std::hash<std::string>{}(exec.rule().ToString());
+  const size_t h = std::hash<std::string>{}(exec.rule_text());
   return *shards_[h % shards_.size()];
 }
 

@@ -131,6 +131,16 @@ std::string QueryProfile::ToJson() const {
   AppendKeyU64(&out, "batches", batches, &first);
   AppendKeyU64(&out, "morsels", morsels, &first);
   AppendKeyU64(&out, "peak_delta", peak_delta, &first);
+  AppendKeyU64(&out, "components_evaluated", components_evaluated, &first);
+  AppendKeyU64(&out, "components_total", components_total, &first);
+  out += ",\"view_reads\":[";
+  for (size_t i = 0; i < view_reads.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '"';
+    AppendEscaped(&out, view_reads[i]);
+    out += '"';
+  }
+  out += ']';
   out += ",\"rounds\":[";
   for (size_t i = 0; i < rounds.size(); ++i) {
     const Round& r = rounds[i];
@@ -193,6 +203,15 @@ std::string QueryProfile::Render() const {
              ", duplicates %" PRIu64 ", peak delta %" PRIu64 "\n",
              plan_cache_hits, plan_cache_misses, iterations, derived,
              duplicates, peak_delta);
+  AppendLine(&out, "  components evaluated %" PRIu64 "/%" PRIu64
+                   "; view reads: ",
+             components_evaluated, components_total);
+  if (view_reads.empty()) out += "none";
+  for (size_t i = 0; i < view_reads.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += view_reads[i];
+  }
+  out += "\n";
   if (!rounds.empty()) {
     out += "  rounds (stratum/round: time, delta in -> out, derived):\n";
     for (const Round& r : rounds) {

@@ -78,6 +78,14 @@ struct QueryProfile {
   /// Largest per-round delta (tuples) the fixpoint carried.
   uint64_t peak_delta = 0;
 
+  /// Relevance slicing: recursion components the query evaluated, out
+  /// of those of the whole session program plus the query rule.
+  uint64_t components_evaluated = 0;
+  uint64_t components_total = 0;
+  /// Predicates read from a materialized view instead of derived
+  /// ("name/arity").
+  std::vector<std::string> view_reads;
+
   /// One entry per fixpoint round, in execution order.
   struct Round {
     uint64_t stratum = 0;

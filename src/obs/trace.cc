@@ -7,7 +7,11 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <ostream>
+#include <sstream>
 #include <vector>
+
+#include "util/string_util.h"
 
 namespace semopt {
 namespace obs {
@@ -42,15 +46,10 @@ struct TraceEvent {
   size_t num_args = 0;
 };
 
-/// Hard cap per thread so a forgotten session cannot grow unboundedly
-/// (~64 B/event -> ~256 MiB worst case across 16 threads at the cap).
-constexpr size_t kMaxEventsPerThread = 1 << 22;
-
 struct ThreadBuffer {
   std::mutex mu;
   uint32_t tid = 0;
   std::vector<TraceEvent> events;
-  size_t dropped = 0;
 };
 
 struct Registry {
@@ -65,6 +64,10 @@ Registry& GetRegistry() {
   static Registry* registry = new Registry();  // leaked: outlives threads
   return *registry;
 }
+
+/// Events offered to the session so far, kept or not: the first
+/// kTraceEventBudget are kept, the rest are the dropped count.
+std::atomic<size_t> g_offered{0};
 
 thread_local ThreadBuffer* tl_buffer = nullptr;
 
@@ -81,12 +84,11 @@ ThreadBuffer& GetThreadBuffer() {
 }
 
 void Append(TraceEvent event) {
-  ThreadBuffer& buffer = GetThreadBuffer();
-  std::lock_guard<std::mutex> lock(buffer.mu);
-  if (buffer.events.size() >= kMaxEventsPerThread) {
-    ++buffer.dropped;
+  if (g_offered.fetch_add(1, std::memory_order_relaxed) >= kTraceEventBudget) {
     return;
   }
+  ThreadBuffer& buffer = GetThreadBuffer();
+  std::lock_guard<std::mutex> lock(buffer.mu);
   buffer.events.push_back(std::move(event));
 }
 
@@ -120,67 +122,74 @@ void AppendJsonEscaped(std::string* out, std::string_view s) {
   }
 }
 
-/// Serializes `(tid, event)` pairs as a Chrome trace_event JSON
-/// document. Timestamps are microseconds with ns precision.
-std::string ToJson(
-    const std::vector<std::pair<uint32_t, TraceEvent>>& events) {
-  std::string out = "{\"traceEvents\":[";
+/// Appends one event as a Chrome trace_event JSON object.
+/// Timestamps are microseconds with ns precision.
+void AppendEventJson(std::string* out, uint32_t tid, const TraceEvent& e) {
   char buf[64];
-  bool first = true;
-  for (const auto& [tid, e] : events) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n{\"name\":\"";
-    AppendJsonEscaped(&out, e.name);
-    out += "\",\"cat\":\"semopt\",\"ph\":\"";
-    out += e.phase;
-    out += "\",\"pid\":1,\"tid\":";
-    std::snprintf(buf, sizeof(buf), "%u", tid);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f",
-                  static_cast<double>(e.ts_ns) / 1000.0);
-    out += buf;
-    if (e.phase == 'X') {
-      std::snprintf(buf, sizeof(buf), ",\"dur\":%.3f",
-                    static_cast<double>(e.dur_ns) / 1000.0);
-      out += buf;
-    }
-    if (e.phase == 'i') out += ",\"s\":\"t\"";
-    if (e.num_args > 0) {
-      out += ",\"args\":{";
-      for (size_t i = 0; i < e.num_args; ++i) {
-        if (i > 0) out += ",";
-        out += "\"";
-        AppendJsonEscaped(&out, e.args[i].key);
-        out += "\":";
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(e.args[i].value));
-        out += buf;
-      }
-      out += "}";
-    }
-    out += "}";
+  out->append("\n{\"name\":\"");
+  AppendJsonEscaped(out, e.name);
+  out->append("\",\"cat\":\"semopt\",\"ph\":\"");
+  *out += e.phase;
+  std::snprintf(buf, sizeof(buf), "\",\"pid\":1,\"tid\":%u,\"ts\":%.3f", tid,
+                static_cast<double>(e.ts_ns) / 1000.0);
+  out->append(buf);
+  if (e.phase == 'X') {
+    std::snprintf(buf, sizeof(buf), ",\"dur\":%.3f",
+                  static_cast<double>(e.dur_ns) / 1000.0);
+    out->append(buf);
   }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
+  if (e.phase == 'i') out->append(",\"s\":\"t\"");
+  if (e.num_args > 0) {
+    out->append(",\"args\":{");
+    for (size_t i = 0; i < e.num_args; ++i) {
+      if (i > 0) *out += ',';
+      *out += '"';
+      AppendJsonEscaped(out, e.args[i].key);
+      std::snprintf(buf, sizeof(buf), "\":%lld",
+                    static_cast<long long>(e.args[i].value));
+      out->append(buf);
+    }
+    *out += '}';
+  }
+  *out += '}';
 }
 
-/// Disables recording and drains every thread buffer. In-flight span
+/// Disables recording, drains every thread buffer into `out` as one
+/// Chrome trace_event JSON document, and returns the number of events
+/// written. The document goes out in chunks of about 64 KiB, and each
+/// buffer's storage is released as soon as it is written, so stopping
+/// a full session never holds the events twice. In-flight span
 /// destructors racing the stop may still append afterwards; their
 /// events are cleared by the next StartTracing.
-std::vector<std::pair<uint32_t, TraceEvent>> StopAndCollect() {
+size_t StopAndWrite(std::ostream& out) {
+  constexpr size_t kChunkBytes = size_t{1} << 16;
   internal::g_tracing_enabled.store(false, std::memory_order_relaxed);
-  std::vector<std::pair<uint32_t, TraceEvent>> collected;
+  std::string chunk = "{\"traceEvents\":[";
+  size_t written = 0;
   Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (const std::unique_ptr<ThreadBuffer>& buffer : registry.buffers) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-    for (TraceEvent& e : buffer->events) {
-      collected.emplace_back(buffer->tid, std::move(e));
+  {
+    std::lock_guard<std::mutex> lock(registry.mu);
+    for (const std::unique_ptr<ThreadBuffer>& buffer : registry.buffers) {
+      std::vector<TraceEvent> events;
+      {
+        std::lock_guard<std::mutex> buffer_lock(buffer->mu);
+        events.swap(buffer->events);
+      }
+      for (const TraceEvent& e : events) {
+        if (written++ > 0) chunk += ',';
+        AppendEventJson(&chunk, buffer->tid, e);
+        if (chunk.size() >= kChunkBytes) {
+          out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+          chunk.clear();
+        }
+      }
     }
-    buffer->events.clear();
   }
-  return collected;
+  chunk += StrCat("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{"
+                  "\"dropped_events\":",
+                  DroppedEvents(), "}}\n");
+  out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+  return written;
 }
 
 }  // namespace
@@ -225,34 +234,32 @@ void StartTracing() {
   for (const std::unique_ptr<ThreadBuffer>& buffer : registry.buffers) {
     std::lock_guard<std::mutex> buffer_lock(buffer->mu);
     buffer->events.clear();
-    buffer->dropped = 0;
   }
+  g_offered.store(0, std::memory_order_relaxed);
   internal::g_tracing_enabled.store(true, std::memory_order_relaxed);
 }
 
 Result<size_t> StopTracing(const std::string& path) {
-  std::vector<std::pair<uint32_t, TraceEvent>> events = StopAndCollect();
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   if (!out) {
+    internal::g_tracing_enabled.store(false, std::memory_order_relaxed);
     return Status::InvalidArgument("cannot open trace file " + path);
   }
-  out << ToJson(events);
+  const size_t events = StopAndWrite(out);
   out.close();
   if (!out) return Status::Internal("failed writing trace file " + path);
-  return events.size();
+  return events;
 }
 
-std::string StopTracingToJson() { return ToJson(StopAndCollect()); }
+std::string StopTracingToJson() {
+  std::ostringstream out;
+  StopAndWrite(out);
+  return out.str();
+}
 
 size_t DroppedEvents() {
-  size_t total = 0;
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (const std::unique_ptr<ThreadBuffer>& buffer : registry.buffers) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-    total += buffer->dropped;
-  }
-  return total;
+  const size_t offered = g_offered.load(std::memory_order_relaxed);
+  return offered > kTraceEventBudget ? offered - kTraceEventBudget : 0;
 }
 
 }  // namespace obs

@@ -19,8 +19,10 @@
 ///
 /// Tracing is off by default: constructing a TraceSpan then costs one
 /// relaxed atomic load and no allocation. Events are buffered in
-/// per-thread buffers (one uncontended mutex each), so worker threads
-/// never share a cache line on the hot path. Building with
+/// per-thread buffers (one uncontended mutex each). One process-wide
+/// budget of kTraceEventBudget events bounds a session, so the memory
+/// it holds and the file it writes stay bounded however long it runs;
+/// events past the budget are counted and dropped. Building with
 /// -DSEMOPT_DISABLE_TRACING=ON compiles the whole subsystem down to
 /// no-ops so instrumentation sites cost literally nothing.
 namespace semopt {
@@ -29,6 +31,12 @@ namespace obs {
 #ifndef SEMOPT_DISABLE_TRACING
 
 inline constexpr bool kTracingCompiledIn = true;
+
+/// Events one trace session keeps, across all threads. It counts
+/// events, not bytes: the file grows with span names and args (about
+/// 138 bytes per event on the benchmark's update_feed spans, 144.6 MB
+/// for a full budget).
+inline constexpr size_t kTraceEventBudget = size_t{1} << 20;
 
 namespace internal {
 
@@ -64,17 +72,19 @@ inline bool TracingEnabled() {
 void StartTracing();
 
 /// Ends the session and writes the buffered events to `path` as a
-/// Chrome trace_event JSON document. Returns the number of events
-/// written. No-op session (never started) still writes a valid empty
-/// trace.
+/// Chrome trace_event JSON document, streamed in chunks (the document
+/// is never held whole in memory). The events dropped past the budget
+/// are recorded as `"otherData":{"dropped_events":N}`. Returns the
+/// number of events written. No-op session (never started) still
+/// writes a valid empty trace.
 Result<size_t> StopTracing(const std::string& path);
 
 /// Ends the session and returns the JSON document (tests, in-memory
 /// sinks).
 std::string StopTracingToJson();
 
-/// Events dropped because a thread buffer hit its cap during the
-/// current/last session.
+/// Events dropped because the session had used up kTraceEventBudget,
+/// during the current/last session.
 size_t DroppedEvents();
 
 /// RAII span. Records one complete ('X') event on destruction when a

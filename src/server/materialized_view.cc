@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "eval/query.h"
 #include "util/string_util.h"
 
 namespace semopt {
@@ -56,6 +57,7 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
     Mode mode) {
   auto view = std::unique_ptr<MaterializedView>(
       new MaterializedView(mode, program, options));
+  view->manifest_ = std::make_shared<const ViewManifest>(ManifestOf(program));
   if (mode == Mode::kIncremental) {
     SEMOPT_ASSIGN_OR_RETURN(
         IncrementalEvaluator inc,

@@ -52,8 +52,17 @@ class MaterializedView {
                          const std::vector<Atom>& dels, Database* db);
 
   /// Shares the current IDB relations into `db` (used right after
-  /// Create to publish the initial materialization).
+  /// Create to publish the initial materialization). Both modes hold
+  /// a relation for every maintained predicate, empty or not, so a
+  /// stored relation of the same name never outlives the view's
+  /// derivation of it.
   void PublishInto(Database* db) const;
+
+  /// What this view's writes stamp on the generations they publish:
+  /// the program's rules by the predicate they maintain.
+  const std::shared_ptr<const ViewManifest>& manifest() const {
+    return manifest_;
+  }
 
   Mode mode() const { return mode_; }
   const Program& program() const { return program_; }
@@ -70,6 +79,7 @@ class MaterializedView {
   Mode mode_;
   Program program_;
   EvalOptions options_;
+  std::shared_ptr<const ViewManifest> manifest_;
   /// Incremental mode: the maintained evaluator (owns its EDB + IDB).
   std::unique_ptr<IncrementalEvaluator> inc_;
   /// Recompute mode: our own EDB copy and the latest full fixpoint.

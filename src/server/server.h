@@ -106,6 +106,7 @@ class QueryServer {
         const std::function<Status(Database*)>& fn) override {
       return server_->store_.Mutate(fn);
     }
+    uint64_t head_epoch() override { return server_->store_.epoch(); }
     PlanCacheInterface* plan_cache() override {
       return &server_->plan_cache_;
     }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <vector>
 
@@ -57,6 +56,14 @@ uint64_t NowNs() {
           .count());
 }
 
+/// Every variable of `body`, in first-occurrence order: the projection
+/// of a `?-` query.
+std::vector<Term> ProjectAllVariables(const std::vector<Literal>& body) {
+  std::vector<Term> projection;
+  for (SymbolId v : CollectVariables(body)) projection.push_back(Term::Var(v));
+  return projection;
+}
+
 /// Copies the engine counters of one evaluation into a query profile
 /// (EvalStats lives in the eval layer, QueryProfile in obs; the session
 /// is where both are in scope).
@@ -105,7 +112,20 @@ Result<IvmStats> DatabaseHost::ApplyUpdate(const std::vector<Atom>& adds,
   Result<uint64_t> written = ApplyWrite([&](Database* db) -> Status {
     std::lock_guard<std::mutex> lock(view_mu_);
     if (view_ != nullptr) {
-      SEMOPT_ASSIGN_OR_RETURN(batch, view_->Apply(adds, dels, db));
+      const uint64_t base_epoch = head_epoch();
+      Result<IvmStats> applied = view_->Apply(adds, dels, db);
+      if (!applied.ok()) {
+        // The view may have taken part of the batch into its copy of
+        // the base relations; this write publishes nothing, so the
+        // copy no longer matches the database.
+        view_epoch_ = kViewOutOfSync;
+        return applied.status();
+      }
+      batch = *applied;
+      if (base_epoch == view_epoch_) {
+        db->set_view_manifest(view_->manifest());
+        view_epoch_ = base_epoch + 1;
+      }
       return Status::Ok();
     }
     const size_t before = db->TotalTuples();
@@ -132,9 +152,11 @@ Result<size_t> DatabaseHost::Materialize(const Program& program,
                             MaterializedView::Create(program, *db, options,
                                                      mode));
     view->PublishInto(db);
+    db->set_view_manifest(view->manifest());
     tuples = view->idb_tuples();
     std::lock_guard<std::mutex> lock(view_mu_);
     view_ = std::move(view);
+    view_epoch_ = head_epoch() + 1;
     return Status::Ok();
   });
   SEMOPT_RETURN_IF_ERROR(written.status());
@@ -142,10 +164,16 @@ Result<size_t> DatabaseHost::Materialize(const Program& program,
 }
 
 bool DatabaseHost::Dematerialize() {
-  std::lock_guard<std::mutex> lock(view_mu_);
-  if (view_ == nullptr) return false;
-  view_.reset();
-  return true;
+  bool dropped = false;
+  // A write of its own: the generation it publishes carries no
+  // manifest, so readers re-derive what the view used to serve.
+  Result<uint64_t> written = ApplyWrite([&](Database*) {
+    std::lock_guard<std::mutex> lock(view_mu_);
+    dropped = view_ != nullptr;
+    view_.reset();
+    return Status::Ok();
+  });
+  return written.ok() && dropped;
 }
 
 std::optional<MaterializedView::Mode> DatabaseHost::view_mode() {
@@ -164,14 +192,9 @@ obs::QueryLog* SessionCommandProcessor::EffectiveQueryLog() {
   return host_->query_log();
 }
 
-QueryClass SessionCommandProcessor::Classify(const std::vector<Literal>& body,
-                                             const Program& program) {
-  const std::set<PredicateId> idb = program.IdbPredicates();
-  for (const Literal& lit : body) {
-    if (!lit.IsRelational()) continue;
-    if (idb.count(lit.atom().pred_id()) > 0) return QueryClass::kHeavy;
-  }
-  return QueryClass::kLight;
+const ProgramSlicer& SessionCommandProcessor::Slicer() {
+  if (slicer_ == nullptr) slicer_ = std::make_unique<ProgramSlicer>(program_);
+  return *slicer_;
 }
 
 std::string SessionCommandProcessor::Execute(std::string_view raw) {
@@ -247,6 +270,7 @@ std::string SessionCommandProcessor::HandleStatements(std::string_view text) {
     ++constraints;
   }
   program_.AutoLabelRules();
+  slicer_.reset();
   std::ostringstream os;
   os << "added";
   if (rules > 0) os << " " << rules << " rule(s)";
@@ -300,16 +324,32 @@ std::string SessionCommandProcessor::RunQueryProfiled(
     profile.error = body.status().ToString();
     return finish(body.status().ToString());
   }
-  std::vector<Term> projection;
-  for (SymbolId v : CollectVariables(*body)) projection.push_back(Term::Var(v));
+  const std::vector<Term> projection = ProjectAllVariables(*body);
 
-  // Admission (when the host schedules) happens before the snapshot is
-  // pinned, so queued queries don't hold generations live while they
-  // wait — and each query reads the freshest head at its start of
-  // execution.
+  // The query program depends on the view manifest of the generation
+  // the query reads. Admission (when the host schedules) happens before
+  // the snapshot is pinned, so queued queries don't hold generations
+  // live while they wait — and each query reads the freshest head at
+  // its start of execution. The class therefore comes from a slice
+  // against the manifest of the generation this session read last; the
+  // slice is rebuilt after the pin only if the pinned generation
+  // carries a different one.
+  std::shared_ptr<const ViewManifest> sliced_for;
+  Result<QueryProgram> query = Status::Internal("query program not built");
+  auto slice = [&](std::shared_ptr<const ViewManifest> manifest) {
+    sliced_for = std::move(manifest);
+    query = Slicer().Slice(*body, projection, sliced_for.get());
+    return query.ok();
+  };
   SessionScheduler::Ticket ticket;
   if (host_->scheduler() != nullptr) {
-    const QueryClass cls = Classify(*body, program_);
+    if (!slice(last_manifest_)) {
+      profile.ok = false;
+      profile.error = query.status().ToString();
+      return finish(query.status().ToString());
+    }
+    const QueryClass cls =
+        query->heavy() ? QueryClass::kHeavy : QueryClass::kLight;
     profile.query_class = QueryClassName(cls);
     ticket = host_->scheduler()->Admit(cls, &profile.queue_wait_us);
   }
@@ -324,8 +364,19 @@ std::string SessionCommandProcessor::RunQueryProfiled(
 
   const uint64_t t_eval = NowNs();
   EvalStats stats;
-  Result<QueryResult> result = AnswerQuery(program_, snap.db(), *body,
-                                           projection, query_options, &stats);
+  last_manifest_ = snap.db().view_manifest();
+  if ((!query.ok() || sliced_for != last_manifest_) && !slice(last_manifest_)) {
+    profile.ok = false;
+    profile.error = query.status().ToString();
+    return finish(query.status().ToString());
+  }
+  profile.components_evaluated = query->components_evaluated;
+  profile.components_total = query->components_total;
+  for (const PredicateId& pred : query->view_reads) {
+    profile.view_reads.push_back(pred.ToString());
+  }
+  Result<QueryResult> result =
+      EvaluateQueryProgram(*query, snap.db(), query_options, &stats);
   profile.eval_us = (NowNs() - t_eval) / 1000;
   FillProfileFromStats(stats, &profile);
   // Fold into the process-wide registry so `:stats` aggregates across
@@ -411,6 +462,7 @@ std::string SessionCommandProcessor::HandleCommand(std::string_view line) {
   }
   if (cmd == ".reset") {
     program_ = Program();
+    slicer_.reset();
     host_->Dematerialize();
     Result<uint64_t> cleared = host_->ApplyWrite([](Database* db) {
       *db = Database();
@@ -552,6 +604,7 @@ std::string SessionCommandProcessor::CmdOptimize(
   os << result->Report();
   if (!result->applied.empty()) {
     program_ = result->program;
+    slicer_.reset();
     os << "program replaced; see .program";
   } else {
     os << "no transformation applied; program unchanged";
@@ -775,8 +828,10 @@ std::string SessionCommandProcessor::CmdTrace(
     std::string path = std::move(trace_path_);
     trace_path_.clear();
     if (!events.ok()) return events.status().ToString();
-    return StrCat("trace written to ", path, " (", *events,
-                  " event(s); open in chrome://tracing or Perfetto)");
+    return StrCat("trace written to ", path, " (", *events, " event(s), ",
+                  obs::DroppedEvents(),
+                  " dropped over the budget; open in chrome://tracing or "
+                  "Perfetto)");
   }
   trace_path_ = args[0] == "on" ? "trace.json" : args[0];
   obs::StartTracing();
@@ -843,21 +898,20 @@ std::string SessionCommandProcessor::CmdProfile(std::string_view rest) {
 
   std::ostringstream os;
   os << last_profile_.Render();
-  // Annotated plans: the query ran as the rule `query$(vars) :- body`,
-  // exactly as AnswerQuery builds it, so extending the program the same
-  // way makes the query rule's own join plan part of the output (keyed
+  // Annotated plans: the query program is built by the same function
+  // the query ran through, so the plans shown are exactly the sliced
+  // rules that ran, the query rule's own join plan included (keyed
   // "query$" in the per-rule stats).
   Result<std::vector<Literal>> body = ParseLiteralList(query);
   if (body.ok()) {
-    std::vector<Term> projection;
-    for (SymbolId v : CollectVariables(*body)) {
-      projection.push_back(Term::Var(v));
-    }
-    Atom head("query$answer", projection);
-    Program extended = program_;
-    extended.AddRule(Rule("query$", std::move(head), *body));
     DatabaseSnapshot snap = host_->Snapshot();
-    os << ExplainAnalyze(extended, snap.db(), last_stats_, eval_options_);
+    Result<QueryProgram> program =
+        Slicer().Slice(*body, ProjectAllVariables(*body),
+                       snap.db().view_manifest().get());
+    if (program.ok()) {
+      os << ExplainAnalyze(program->program, snap.db(), last_stats_,
+                           eval_options_);
+    }
   }
   return os.str();
 }

@@ -1,6 +1,7 @@
 #ifndef SEMOPT_SERVER_SESSION_H_
 #define SEMOPT_SERVER_SESSION_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include "ast/program.h"
 #include "eval/fixpoint.h"
 #include "eval/plan_cache.h"
+#include "eval/query.h"
 #include "obs/query_log.h"
 #include "server/materialized_view.h"
 #include "server/scheduler.h"
@@ -41,10 +43,17 @@ class DatabaseHost {
 
   /// Applies `fn` to the database. Under a server host the mutation
   /// runs on a private clone and is published atomically; readers
-  /// never observe it half-applied. Returns the resulting epoch (0
-  /// for a local host).
+  /// never observe it half-applied. The written database starts with
+  /// no view manifest (a server clone carries none; a local host
+  /// clears its own), so only a view's own write can stamp one.
+  /// Returns the resulting epoch.
   virtual Result<uint64_t> ApplyWrite(
       const std::function<Status(Database*)>& fn) = 0;
+
+  /// The epoch of the newest published generation. Every ApplyWrite
+  /// moves it by exactly one (a local host counts its writes), so
+  /// inside a write's `fn` it names the generation being written over.
+  virtual uint64_t head_epoch() = 0;
 
   /// The plan cache every evaluation of this session borrows. May be
   /// shared across sessions (SharedPlanCache) or private (PlanCache);
@@ -71,15 +80,18 @@ class DatabaseHost {
                                const std::vector<Atom>& dels);
 
   /// Installs a materialized view of `program` over the current
-  /// database and publishes its IDB. Replaces any previous view.
-  /// Returns the number of IDB tuples materialized.
+  /// database and publishes its IDB, stamping the generation with the
+  /// view's manifest. Replaces any previous view. Returns the number
+  /// of IDB tuples materialized.
   Result<size_t> Materialize(const Program& program,
                              const EvalOptions& options,
                              MaterializedView::Mode mode);
 
-  /// Drops the installed view. The already-published IDB relations
-  /// stay in the database as plain facts; they simply stop being
-  /// maintained. Returns false if no view was installed.
+  /// Drops the installed view, as a write that publishes a generation
+  /// without a manifest. The already-published IDB relations stay in
+  /// the database as plain facts; they simply stop being maintained
+  /// (and stop being read as the view). Returns false if no view was
+  /// installed.
   bool Dematerialize();
 
   /// Mode of the installed view, or nullopt when none is installed.
@@ -95,6 +107,15 @@ class DatabaseHost {
   /// but Materialize/Dematerialize race with it from other sessions).
   std::mutex view_mu_;
   std::unique_ptr<MaterializedView> view_;
+  /// Epoch of the generation the view's last write published. The
+  /// view maintains a private copy of the base relations, which match
+  /// the database only while no other write has landed since; a view
+  /// write over any other generation still publishes the IDB, but
+  /// without a manifest, so no reader takes it as current. A failed
+  /// view write sets kViewOutOfSync, which no epoch equals: the view
+  /// took part of the batch, the database none. Guarded by `view_mu_`.
+  static constexpr uint64_t kViewOutOfSync = UINT64_MAX;
+  uint64_t view_epoch_ = kViewOutOfSync;
 };
 
 /// One session's command interpreter: the parse/dispatch/format logic
@@ -127,12 +148,6 @@ class SessionCommandProcessor {
   /// later).
   void set_num_threads(size_t n) { eval_options_.num_threads = n; }
 
-  /// Admission class of a parsed query body: light iff no relational
-  /// literal resolves to an IDB predicate of `program` (such queries
-  /// are pure base-relation lookups; everything else runs a fixpoint).
-  static QueryClass Classify(const std::vector<Literal>& body,
-                             const Program& program);
-
   /// This session's process-unique id (stamped into every profile).
   uint64_t session_id() const { return session_id_; }
 
@@ -156,6 +171,10 @@ class SessionCommandProcessor {
   /// The query log this session records to: its private `:qlog` file
   /// when open, else the host's.
   obs::QueryLog* EffectiveQueryLog();
+
+  /// The slicer of the current program, built on first use after the
+  /// program changed.
+  const ProgramSlicer& Slicer();
 
   std::string CmdHelp() const;
   std::string CmdProgram() const;
@@ -186,6 +205,9 @@ class SessionCommandProcessor {
 
   DatabaseHost* host_;
   Program program_;
+  /// Slicing data of program_ (Slicer()); every change to program_
+  /// resets it.
+  std::unique_ptr<const ProgramSlicer> slicer_;
   /// Options applied to every query evaluation (`:threads`, `:metrics`
   /// edit it); plan_cache points at host_->plan_cache().
   EvalOptions eval_options_;
@@ -199,6 +221,9 @@ class SessionCommandProcessor {
 
   /// Process-unique session id, stamped into every query's profile.
   uint64_t session_id_ = 0;
+  /// View manifest of the generation the most recent query read: the
+  /// admission class of the next query is computed against it.
+  std::shared_ptr<const ViewManifest> last_manifest_;
   /// Text of the most recent `?-` query (`:profile` with no argument
   /// re-runs it).
   std::string last_query_;

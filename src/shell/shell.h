@@ -63,12 +63,17 @@ class Shell {
     }
     Result<uint64_t> ApplyWrite(
         const std::function<Status(Database*)>& fn) override {
-      SEMOPT_RETURN_IF_ERROR(fn(&db));
-      return uint64_t{0};
+      db.set_view_manifest(nullptr);
+      const Status status = fn(&db);
+      ++writes;  // a failed in-place write may still have changed db
+      SEMOPT_RETURN_IF_ERROR(status);
+      return writes;
     }
+    uint64_t head_epoch() override { return writes; }
     PlanCacheInterface* plan_cache() override { return &cache; }
 
     Database db;
+    uint64_t writes = 0;
     /// Session plan cache, borrowed by every evaluation: re-running a
     /// query re-traverses an already-seen cardinality-band trajectory,
     /// so steady-state runs hit every round (`:metrics` shows

@@ -14,6 +14,17 @@
 
 namespace semopt {
 
+/// What the write that publishes a materialized view's IDB stamps on
+/// its generation: the view program's rules, each rendered without its
+/// label, grouped (and sorted) by the predicate they derive. The keys
+/// are the predicates the view maintains. A reader of that generation
+/// may read a maintained predicate as a stored relation instead of
+/// re-deriving it, provided its own rules for the predicate and for
+/// everything the predicate reaches are these.
+struct ViewManifest {
+  std::map<PredicateId, std::vector<std::string>> rules;
+};
+
 /// A database instance: a set of named relations (typically the EDB; the
 /// evaluation engine materializes IDB relations into a separate Database).
 /// Relations are created on first reference.
@@ -64,8 +75,19 @@ class Database {
   /// with this one (pointer copies only); either side deep-copies a
   /// relation the moment it mutates it. This is the snapshot-store
   /// write path — cloning a multi-gigabyte generation costs one map of
-  /// pointers, not a tuple copy.
+  /// pointers, not a tuple copy. Neither copy carries the view
+  /// manifest: a write starts unstamped, and only a view's own write
+  /// stamps it again.
   Database CloneShared() const;
+
+  /// The manifest of the view whose write published this database, or
+  /// null when the last write was not a view's.
+  const std::shared_ptr<const ViewManifest>& view_manifest() const {
+    return view_manifest_;
+  }
+  void set_view_manifest(std::shared_ptr<const ViewManifest> manifest) {
+    view_manifest_ = std::move(manifest);
+  }
 
   /// Shares every relation of `other` into this database (pointer
   /// copies, replacing same-predicate entries). This is how a
@@ -89,6 +111,7 @@ class Database {
   static void DetachIfShared(std::shared_ptr<Relation>* slot);
 
   std::map<PredicateId, std::shared_ptr<Relation>> relations_;
+  std::shared_ptr<const ViewManifest> view_manifest_;
 };
 
 }  // namespace semopt

@@ -277,7 +277,11 @@ bool Relation::ProjectionsEqual(RowId a, RowId b,
 
 void Relation::IndexInsert(Index& index, RowId r) {
   if (NeedsGrowth(index.buckets.size(), index.slots.size())) {
-    IndexRehash(index, NextPowerOfTwo((index.buckets.size() + 1) * 2));
+    // Dead buckets fill the table as much as live ones, and the rehash
+    // collects them: size the new table from the live buckets only, so
+    // steady insert/erase churn never doubles it.
+    const size_t live = index.buckets.size() - index.dead;
+    IndexRehash(index, NextPowerOfTwo((live + 1) * 2));
   }
   const size_t h = ProjectionHash(r, index.columns);
   size_t idx = h & index.slot_mask;
@@ -330,6 +334,7 @@ void Relation::IndexErase(Index& index, RowId victim, RowId last) {
         }
         if (rows.empty()) {
           bucket.first = kInvalidRowId;
+          ++index.dead;
         } else if (bucket.first == victim) {
           bucket.first = rows[0];
         }
@@ -371,6 +376,7 @@ void Relation::IndexRehash(Index& index, size_t new_slots) {
   // have meaning through the slot table.
   std::erase_if(index.buckets,
                 [](const Bucket& b) { return b.first == kInvalidRowId; });
+  index.dead = 0;
   index.slots.assign(new_slots, kEmptySlot);
   index.slot_mask = new_slots - 1;
   for (uint32_t b = 0; b < index.buckets.size(); ++b) {
@@ -477,6 +483,12 @@ size_t Relation::index_count() const {
     ++count;
   }
   return count;
+}
+
+size_t Relation::index_slots_for_testing(
+    const std::vector<uint32_t>& columns) const {
+  const Index* index = FindIndex(columns);
+  return index == nullptr ? 0 : index->slots.size();
 }
 
 const std::vector<RowId>& Relation::Probe(
@@ -629,6 +641,7 @@ void Relation::Clear() {
        n != nullptr; n = n->next) {
     std::fill(n->index.slots.begin(), n->index.slots.end(), kEmptySlot);
     n->index.buckets.clear();
+    n->index.dead = 0;
   }
 }
 

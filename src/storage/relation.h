@@ -246,6 +246,10 @@ class Relation {
   /// Number of secondary indexes currently materialized.
   size_t index_count() const;
 
+  /// Slot-table size of the index over `columns` (0 when absent). For
+  /// tests that check the table stays bounded under churn.
+  size_t index_slots_for_testing(const std::vector<uint32_t>& columns) const;
+
   std::string ToString() const;
 
  private:
@@ -268,6 +272,10 @@ class Relation {
     std::vector<uint32_t> slots;  // bucket id; kEmptySlot = empty
     std::vector<Bucket> buckets;
     size_t slot_mask = 0;
+    /// Buckets IndexErase emptied since the last rehash. They keep
+    /// their slots until a rehash collects them; counting them lets
+    /// IndexInsert size the next table from the live buckets only.
+    size_t dead = 0;
   };
   /// One node of the atomic index list. A node is fully built before
   /// the release store that links it in, and `next` never changes after

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "ast/rename.h"
 #include "eval/query.h"
 #include "eval/shared_plan_cache.h"
 #include "server/scheduler.h"
@@ -153,14 +154,21 @@ TEST(SessionSchedulerTest, ClassifiesByIdbReachability) {
                                 MustParseLiteral("t(Y, Z)")};
   std::vector<Literal> comparisons_only = {MustParseLiteral("e(X, Y)"),
                                            MustParseLiteral("X > 3")};
-  EXPECT_EQ(SessionCommandProcessor::Classify(heavy, program),
-            QueryClass::kHeavy);
-  EXPECT_EQ(SessionCommandProcessor::Classify(light, program),
-            QueryClass::kLight);
-  EXPECT_EQ(SessionCommandProcessor::Classify(mixed, program),
-            QueryClass::kHeavy);
-  EXPECT_EQ(SessionCommandProcessor::Classify(comparisons_only, program),
-            QueryClass::kLight);
+  // The session admits a query as heavy exactly when its sliced query
+  // program has rules besides the query rule.
+  auto heavy_slice = [&](const std::vector<Literal>& body) {
+    std::vector<Term> projection;
+    for (SymbolId v : CollectVariables(body)) {
+      projection.push_back(Term::Var(v));
+    }
+    Result<QueryProgram> query = BuildQueryProgram(program, body, projection);
+    EXPECT_TRUE(query.ok()) << query.status().ToString();
+    return query.ok() && query->heavy();
+  };
+  EXPECT_TRUE(heavy_slice(heavy));
+  EXPECT_FALSE(heavy_slice(light));
+  EXPECT_TRUE(heavy_slice(mixed));
+  EXPECT_FALSE(heavy_slice(comparisons_only));
 }
 
 TEST(SessionSchedulerTest, EnforcesPerClassLimits) {

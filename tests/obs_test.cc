@@ -51,7 +51,11 @@ struct JsonValue {
 
 class JsonParser {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  /// `keep_arrays` false validates arrays element by element without
+  /// storing them; an array's `number` then holds its length (large
+  /// trace documents parse in constant memory per event).
+  explicit JsonParser(std::string_view text, bool keep_arrays = true)
+      : text_(text), keep_arrays_(keep_arrays) {}
 
   bool Parse(JsonValue* out) {
     SkipWs();
@@ -116,7 +120,8 @@ class JsonParser {
     while (true) {
       JsonValue value;
       if (!ParseValue(&value)) return false;
-      out->array.push_back(std::move(value));
+      ++out->number;
+      if (keep_arrays_) out->array.push_back(std::move(value));
       SkipWs();
       if (Consume(',')) continue;
       return Consume(']');
@@ -197,6 +202,7 @@ class JsonParser {
   }
 
   std::string_view text_;
+  bool keep_arrays_ = true;
   size_t pos_ = 0;
 };
 
@@ -360,6 +366,55 @@ TEST(TraceTest, ConcurrentSpansFromManyThreads) {
   EXPECT_EQ(events.size(), static_cast<size_t>(kThreads * kSpansPerThread));
   EXPECT_EQ(CountEvents(events, "even"), 2u * kSpansPerThread);
   EXPECT_EQ(CountEvents(events, "odd"), 2u * kSpansPerThread);
+  EXPECT_EQ(obs::DroppedEvents(), 0u);
+}
+
+TEST(TraceTest, BudgetBoundsEventsAcrossThreads) {
+  // Four threads together offer more events than one session keeps:
+  // exactly the budget is written, the excess is counted as dropped,
+  // and the file still parses, with the count in its otherData.
+  constexpr int kThreads = 4;
+  constexpr size_t kExcessPerThread = 1000;
+  constexpr size_t kPerThread =
+      obs::kTraceEventBudget / kThreads + kExcessPerThread;
+  const std::string path = ::testing::TempDir() + "/semopt_trace_budget.json";
+  obs::StartTracing();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (size_t i = 0; i < kPerThread; ++i) obs::TraceSpan span("b");
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  Result<size_t> written = obs::StopTracing(path);
+  ASSERT_TRUE(written.ok()) << written.status();
+  EXPECT_EQ(*written, obs::kTraceEventBudget);
+  EXPECT_EQ(obs::DroppedEvents(), kThreads * kExcessPerThread);
+
+  std::string text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good());
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+  }
+  std::remove(path.c_str());
+  JsonValue root;
+  ASSERT_TRUE(JsonParser(text, /*keep_arrays=*/false).Parse(&root));
+  const JsonValue* events = root.Get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  EXPECT_EQ(events->number, static_cast<double>(obs::kTraceEventBudget));
+  const JsonValue* other = root.Get("otherData");
+  ASSERT_NE(other, nullptr);
+  ASSERT_NE(other->Get("dropped_events"), nullptr);
+  EXPECT_EQ(other->Get("dropped_events")->number,
+            static_cast<double>(kThreads * kExcessPerThread));
+
+  // The next session starts with a fresh budget.
+  obs::StartTracing();
+  { obs::TraceSpan span("after"); }
+  EXPECT_EQ(MustParseTrace(obs::StopTracingToJson()).size(), 1u);
   EXPECT_EQ(obs::DroppedEvents(), 0u);
 }
 

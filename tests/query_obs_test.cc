@@ -389,6 +389,7 @@ TEST(ProfileGoldenTest, FixedQueryRendersStableShape) {
   total # us = parse # + queue # + pin # + eval # + render #
   fixpoint # us, pinned epoch #
   plan cache: # hits / # misses; iterations #, derived #, duplicates #, peak delta #
+  components evaluated #/#; view reads: none
   rounds (stratum/round: time, delta in -> out, derived):
     s#/r#: # us, # -> #, derived #
     s#/r#: # us, # -> #, derived #

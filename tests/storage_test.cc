@@ -9,6 +9,7 @@
 #include "util/simd.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -494,6 +495,69 @@ TEST(RelationEraseTest, RandomChurnMatchesSetModel) {
     ++i;
   }
   EXPECT_EQ(seen, model);
+}
+
+TEST(RelationEraseTest, SteadyChurnKeepsIndexSlotsBounded) {
+  // The live row count stays constant: each batch inserts kBatch fresh
+  // rows and erases the kBatch oldest. Column 0 repeats (shared
+  // buckets), column 1 is unique (a new bucket per insert, a dead one
+  // per erase), so the index slot tables must be sized from live
+  // buckets, not from live plus dead.
+  constexpr int64_t kLive = 2000;
+  constexpr int64_t kBatch = 32;
+  constexpr int64_t kKeys = 97;
+  Relation rel(Pred("steady", 2));
+  rel.EnsureIndex({0});
+  rel.EnsureIndex({1});
+  std::multimap<int64_t, int64_t> model;  // column 0 -> column 1
+  auto row = [](int64_t i) {
+    return Tuple{Term::Int(i % kKeys), Term::Int(i)};
+  };
+  int64_t next = 0;
+  for (; next < kLive; ++next) {
+    rel.Insert(row(next));
+    model.emplace(next % kKeys, next);
+  }
+  const size_t slots0 = rel.index_slots_for_testing({0});
+  const size_t slots1 = rel.index_slots_for_testing({1});
+  ASSERT_GT(slots1, 0u);
+  for (int batch = 0; batch < 600; ++batch) {
+    TupleBuffer victims(2);
+    for (int64_t i = next - kLive; i < next - kLive + kBatch; ++i) {
+      victims.Append(RowRef(row(i)));
+      auto [lo, hi] = model.equal_range(i % kKeys);
+      for (auto it = lo; it != hi; ++it) {
+        if (it->second == i) {
+          model.erase(it);
+          break;
+        }
+      }
+    }
+    for (int64_t k = 0; k < kBatch; ++k, ++next) {
+      EXPECT_TRUE(rel.Insert(row(next)));
+      model.emplace(next % kKeys, next);
+    }
+    EXPECT_EQ(rel.Erase(victims), static_cast<size_t>(kBatch));
+    ASSERT_EQ(rel.size(), static_cast<size_t>(kLive));
+    EXPECT_LE(rel.index_slots_for_testing({0}), slots0);
+    EXPECT_LE(rel.index_slots_for_testing({1}), 2 * slots1);
+    if (batch % 50 != 0) continue;
+    const int64_t key = batch % kKeys;
+    std::vector<int64_t> expected;
+    auto [lo, hi] = model.equal_range(key);
+    for (auto it = lo; it != hi; ++it) expected.push_back(it->second);
+    std::vector<int64_t> actual;
+    for (RowId r : rel.Probe({0}, {Term::Int(key)})) {
+      EXPECT_EQ(rel.row(r)[0].int_value(), key);
+      actual.push_back(rel.row(r)[1].int_value());
+    }
+    std::sort(expected.begin(), expected.end());
+    std::sort(actual.begin(), actual.end());
+    EXPECT_EQ(actual, expected);
+    // Column 1: the newest row is present, the just-erased one is not.
+    EXPECT_EQ(rel.Probe({1}, {Term::Int(next - 1)}).size(), 1u);
+    EXPECT_TRUE(rel.Probe({1}, {Term::Int(next - kLive - 1)}).empty());
+  }
 }
 
 TEST(TupleStoreTest, SwapRemoveKeepsDedupTableConsistent) {
